@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -60,7 +61,7 @@ bool IsSemanticRuntime(const ExploreConfig& cfg) {
 // Metric handles for one exploration, registered up front — before any worker
 // shard exists, honouring the registry's register-before-concurrent-use contract.
 // Counters ALWAYS flow through a registry (a local throwaway when the caller
-// attached none): shard folds and per-chunk adds are exactly as cheap as the
+// attached none): shard folds and per-group adds are exactly as cheap as the
 // ad-hoc atomics they replaced, so the registry is the single source of truth
 // and the legacy timing block is re-emitted from it. The clock-fed series —
 // per-phase nanosecond counters and the per-trial latency histogram — engage
@@ -164,10 +165,10 @@ TrialOutput CollectOutput(const ExploreConfig& cfg, const kernel::RunResult& run
 }
 
 // Executes one schedule end-to-end on a freshly constructed stack: device + runtime +
-// app, scripted failures, probe recording. The golden run and the --no-snapshot
-// cross-check path use this; the snapshot engine uses TrialStack below. Every trial
-// uses the *same* device seed — sensor streams and golden outputs must line up across
-// trials; determinism across shards comes from trial indexing, not per-worker state.
+// app, scripted failures, probe recording. The golden run uses this; every enumerated
+// trial runs on a TrialStack below. Every trial uses the *same* device seed — sensor
+// streams and golden outputs must line up across trials; determinism across shards
+// comes from trial indexing, not per-worker state.
 TrialOutput RunTrial(const ExploreConfig& cfg, const std::vector<uint64_t>& schedule,
                      const GoldenFacts* golden, GoldenFacts* golden_out,
                      PrunePolicy* policy_out = nullptr) {
@@ -206,8 +207,7 @@ class TrialStack {
         dev_(MakeDeviceConfig(cfg), sched_) {}
 
   // Full replay of one schedule, equivalent to RunTrial on a fresh stack.
-  TrialOutput RunFull(const std::vector<uint64_t>& schedule, const GoldenFacts* golden,
-                      GoldenFacts* golden_out) {
+  TrialOutput RunFull(const std::vector<uint64_t>& schedule, const GoldenFacts& golden) {
     const uint64_t t0 = NowIfTimed();
     Prepare(schedule);
     kernel::Engine engine(kernel::RunConfig{cfg_.max_on_us});
@@ -215,8 +215,7 @@ class TrialStack {
     const uint64_t t1 = NowIfTimed();
     AddPhase(ExploreMetrics::kReplay, t1 - t0);
     TrialOutput out = CollectOutput(cfg_, run, trace_.TakeEvents(), sched_.next_index(),
-                                    schedule, app_, *runtime_, *nv_, dev_, golden,
-                                    golden_out);
+                                    schedule, app_, *runtime_, *nv_, dev_, &golden, nullptr);
     FinishTrial(t0, t1);
     return out;
   }
@@ -226,7 +225,7 @@ class TrialStack {
   // probe events up to the instant are carried pre-folded as an EventScanState, so the
   // resumed trial folds only its own (post-capture) events. The device snapshot is a
   // pooled handle: released back to the worker's pool the moment the resume has laid
-  // it over the stack, so one chunk's captures recycle a handful of buffers.
+  // it over the stack, so one group's captures recycle a handful of buffers.
   struct Capture {
     sim::SnapshotPool::Handle dev;
     kernel::RuntimeSnapshot rt;
@@ -341,7 +340,7 @@ class TrialStack {
       trace_.Reset();  // still installed: the device was not reset
     }
     dev_.ResumeFromSnapshot(*c.dev);
-    c.dev.reset();  // back to the pool: the next capture in this chunk reuses it
+    c.dev.reset();  // back to the pool: the next capture in this group reuses it
     runtime_->RestoreState(c.rt);
     kernel::Engine engine(kernel::RunConfig{cfg_.max_on_us});
     const kernel::RunResult run =
@@ -361,7 +360,7 @@ class TrialStack {
   void RecycleEvents(std::vector<sim::ProbeEvent> buf) { trace_.Recycle(std::move(buf)); }
 
   // Worker-lifetime scratch for RunTrunk output: keeping the Capture objects (and
-  // their nested buffers) alive across chunks turns per-capture snapshot state into
+  // their nested buffers) alive across groups turns per-capture snapshot state into
   // capacity-reusing overwrites.
   std::vector<Capture>& caps_scratch() { return caps_scratch_; }
 
@@ -384,26 +383,21 @@ class TrialStack {
   }
 
  public:
-  // Hot-path counters accumulated since the last Take: FRAM pages SnapshotInto/Restore
-  // actually copied, and snapshot buffers served from the pool's free list. The worker
-  // loop drains these per chunk into the exploration-wide atomics (integer sums —
-  // order-independent, so identical for any jobs count).
-  struct HotPathDelta {
-    uint64_t pages_copied = 0;
-    uint64_t pool_hits = 0;
-  };
-  HotPathDelta TakeHotPathDelta() {
-    HotPathDelta d{dev_.mem().pages_copied() - pages_copied_seen_,
-                   pool_.hits() - pool_hits_seen_};
-    pages_copied_seen_ += d.pages_copied;
-    pool_hits_seen_ += d.pool_hits;
-    return d;
+  // Drains the hot-path counters accumulated since the last call — FRAM pages
+  // SnapshotInto/Restore actually copied, and snapshot buffers served from the pool's
+  // free list — into the shared registry, then folds this worker's metric shard. Called
+  // once per group, so a live reader sees progress mid-exploration; the shard
+  // destructor folds whatever remains at worker teardown. Integer sums are
+  // order-independent, so the totals are identical for any jobs count.
+  void DrainCounters() {
+    const uint64_t pages = dev_.mem().pages_copied();
+    const uint64_t hits = pool_.hits();
+    em_->reg->Add(em_->pages_copied, pages - pages_copied_seen_);
+    em_->reg->Add(em_->pool_hits, hits - pool_hits_seen_);
+    pages_copied_seen_ = pages;
+    pool_hits_seen_ = hits;
+    shard_.Fold();
   }
-
-  // Drains this worker's metric shard into the shared registry. The worker loop
-  // calls it once per chunk (so a live reader sees progress mid-exploration); the
-  // shard destructor folds whatever remains at worker teardown.
-  void FoldMetrics() { shard_.Fold(); }
 
  private:
   // Clock reads happen only with an external registry attached (em_->timed):
@@ -430,7 +424,7 @@ class TrialStack {
   sim::ScriptedScheduler sched_;
   sim::Device dev_;
   TraceRecorder trace_;
-  sim::SnapshotPool pool_;  // outlives every Capture handle a chunk holds
+  sim::SnapshotPool pool_;  // outlives every Capture handle a group holds
   bool hash_captures_ = false;
   StateHasher hasher_;  // per-stack: its page cache tracks this stack's device
   std::vector<Capture> caps_scratch_;
@@ -476,19 +470,17 @@ std::vector<uint64_t> TimeSubset(const std::vector<uint64_t>& v, size_t keep) {
 // Partial-order reduction over a sorted instant list: maps each index to the index of
 // its class representative (the first member, so representatives always precede their
 // members). Tokens are monotone in the instant, so equal-class members are always a
-// consecutive run. `restart_every` forces a fresh representative at fixed index
-// boundaries — the parallel phases hand out work in fixed-size chunks/groups, and a
-// member may only reference a representative executed by the same worker. Disabled
-// (identity mapping) when `enabled` is false, so both engine modes and both pruning
-// settings walk the identical slot layout.
+// consecutive run. Applied per group (see Group below), so a member only ever
+// references a representative executed by the same worker. Disabled (identity
+// mapping) when `enabled` is false, so both engine modes and both pruning settings
+// walk the identical slot layout.
 std::vector<size_t> CollapseRuns(const std::vector<uint64_t>& v, const GapClasses& gc,
-                                 bool enabled, size_t restart_every = SIZE_MAX) {
+                                 bool enabled) {
   std::vector<size_t> rep(v.size());
   uint64_t prev_token = 0;
   for (size_t i = 0; i < v.size(); ++i) {
     const uint64_t token = gc.TokenFor(v[i]);
-    if (enabled && i > 0 && token == prev_token && GapClasses::Collapsible(token) &&
-        i % restart_every != 0) {
+    if (enabled && i > 0 && token == prev_token && GapClasses::Collapsible(token)) {
       rep[i] = rep[i - 1];
     } else {
       rep[i] = i;
@@ -496,6 +488,150 @@ std::vector<size_t> CollapseRuns(const std::vector<uint64_t>& v, const GapClasse
     prev_token = token;
   }
   return rep;
+}
+
+// Outcome of one enumerated schedule, written only by the worker running its group.
+struct Slot {
+  bool completed = false;
+  std::vector<Violation> violations;
+};
+
+// The unit of parallel work and of prefix sharing: schedules that differ only in
+// their last failure instant. A depth-1 chunk has no t1; a pair group fails at t1
+// first. `instants` ascend. rep_of[k] == k marks a POR class representative; a member
+// points at an earlier representative of the same group. The outcome of instant k
+// lands in slot slot_base + k, so the merge order (and therefore the JSON) is
+// independent of which worker ran the group.
+struct Group {
+  bool has_t1 = false;
+  uint64_t t1 = 0;
+  std::vector<uint64_t> instants;
+  std::vector<size_t> rep_of;
+  size_t slot_base = 0;
+};
+
+size_t CountRepresentatives(const std::vector<size_t>& rep_of) {
+  size_t reps = 0;
+  for (size_t k = 0; k < rep_of.size(); ++k) {
+    reps += rep_of[k] == k ? 1 : 0;
+  }
+  return reps;
+}
+
+// The dedup table standard mode shares across workers and phases. Which trial pays
+// for a state is scheduling-dependent, but the substituted verdicts are not, so only
+// the timing-block counters can shift.
+class SharedDedup {
+ public:
+  bool Lookup(const StateKey& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.Lookup(key);
+  }
+  void Insert(const StateKey& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    table_.Insert(key);
+  }
+
+ private:
+  std::mutex mu_;
+  DedupTable table_;
+};
+
+// The choices one phase fixes for all of its groups.
+struct PhasePlan {
+  // Snapshot engine: a group with at least two representatives runs one trunk that
+  // captures every representative's instant. Off (--no-snapshot), every
+  // representative is a full replay, and with no captures there is no dedup either.
+  bool trunk = true;
+  // A dedup hit may stand in for a trial only at the last depth: an earlier-phase
+  // trial must really run, its trace seeds the next phase.
+  bool terminal = true;
+  // Null in exhaust mode: each group then dedups against a table of its own, making
+  // every certificate count a pure function of the spec.
+  SharedDedup* shared = nullptr;
+  std::vector<Slot>* slots = nullptr;
+  // Sees every executed trial (not POR members, not dedup hits) with its slot index,
+  // before the trial's event buffer is recycled. May be empty.
+  std::function<void(const TrialOutput&, size_t)> sink;
+};
+
+// Runs one group on a worker's stack. Each representative either takes a verified
+// dedup hit, resumes from its trunk capture, or (no trunk) replays in full; each POR
+// member inherits its representative's verdicts outright — any violation it would
+// re-report is the keep-first duplicate the collector drops anyway.
+void RunGroup(TrialStack& stack, const Group& grp, const PhasePlan& plan,
+              const GoldenFacts& golden, ExploreMetrics& em) {
+  std::vector<uint64_t> capture_at;
+  capture_at.reserve(grp.instants.size());
+  for (size_t k = 0; k < grp.instants.size(); ++k) {
+    if (grp.rep_of[k] == k) {
+      capture_at.push_back(grp.instants[k]);
+    }
+  }
+  // A trunk plus one resume costs more than one full replay, so a lone representative
+  // replays directly.
+  std::vector<TrialStack::Capture>& caps = stack.caps_scratch();
+  const size_t taken = plan.trunk && capture_at.size() >= 2
+                           ? stack.RunTrunk(grp.has_t1, grp.t1, capture_at, &caps)
+                           : 0;
+  DedupTable group_table;
+  std::vector<Slot>& slots = *plan.slots;
+  uint64_t pruned = 0;
+  uint64_t deduped = 0;
+  uint64_t resumed = 0;
+  uint64_t saved = 0;
+  uint64_t deepest = 0;
+  size_t kc = 0;  // capture cursor over the representatives
+  for (size_t k = 0; k < grp.instants.size(); ++k) {
+    Slot& slot = slots[grp.slot_base + k];
+    if (grp.rep_of[k] != k) {
+      slot.completed = slots[grp.slot_base + grp.rep_of[k]].completed;
+      ++pruned;
+      continue;
+    }
+    TrialStack::Capture* cap = kc < taken ? &caps[kc] : nullptr;
+    ++kc;
+    const StateKey* key = cap != nullptr && cap->key.valid ? &cap->key : nullptr;
+    if (plan.terminal && key != nullptr &&
+        (plan.shared != nullptr ? plan.shared->Lookup(*key) : group_table.Lookup(*key))) {
+      // A verified byte-identical state already ran clean to completion.
+      slot.completed = true;
+      cap->dev.reset();  // hand the snapshot straight back to the pool
+      ++deduped;
+      continue;
+    }
+    std::vector<uint64_t> schedule;
+    if (grp.has_t1) {
+      schedule.push_back(grp.t1);
+    }
+    schedule.push_back(grp.instants[k]);
+    TrialOutput t = cap != nullptr ? stack.ResumeFromCapture(*cap, std::move(schedule), golden)
+                                   : stack.RunFull(schedule, golden);
+    slot.completed = t.facts.completed;
+    slot.violations = std::move(t.violations);
+    if (plan.sink) {
+      plan.sink(t, grp.slot_base + k);
+    }
+    if (key != nullptr && slot.completed && slot.violations.empty()) {
+      plan.shared != nullptr ? plan.shared->Insert(*key) : group_table.Insert(*key);
+    }
+    if (cap != nullptr) {
+      ++resumed;
+      saved += grp.instants[k];
+      deepest = grp.instants[k];  // instants ascend, so the last resumed is the deepest
+    }
+    stack.RecycleEvents(std::move(t.events));
+  }
+  obs::Registry& reg = *em.reg;
+  reg.Add(em.trials_pruned, pruned + deduped);
+  reg.Add(em.dedup_hits, deduped);
+  if (resumed > 0) {
+    reg.Add(em.snapshot_resumes, resumed);
+    // Full replay would execute [0, instant] per resumed trial; the group paid for one
+    // trunk reaching the deepest capture instead.
+    reg.Add(em.prefix_us_saved, saved - deepest);
+  }
+  stack.DrainCounters();
 }
 
 void AppendEscaped(std::ostringstream& os, const std::string& s) {
@@ -630,191 +766,73 @@ ExploreResult Explore(const ExploreConfig& cfg) {
     golden_classes.Build(g.events, 0);
   }
   const bool d1_collapse = prune && (exhaust || !want_depth2);
-  constexpr size_t kD1Chunk = 32;
-  const std::vector<size_t> d1_rep = CollapseRuns(d1, golden_classes, d1_collapse, kD1Chunk);
-  uint64_t d1_class_count = 0;
-  for (size_t i = 0; i < d1_rep.size(); ++i) {
-    d1_class_count += d1_rep[i] == i ? 1 : 0;
-  }
 
-  // State-dedup tables. Standard mode shares one table across phases and workers
-  // (guarded by a mutex): which trial pays for a state is scheduling-dependent, but
-  // the substituted verdicts are not, so only the timing-block counters can shift.
-  // Exhaust mode instead uses a table per chunk/group, making every certificate
-  // count a pure function of the spec. Substitution only happens at the terminal
-  // depth — an earlier-phase trial must really run, its trace seeds the next phase.
-  struct SharedDedup {
-    std::mutex mu;
-    DedupTable table;
-  };
+  // Standard mode shares one dedup table across phases and workers; exhaust mode
+  // dedups per group (see PhasePlan::shared). Standard mode fingerprints depth-1
+  // captures even at depth 2: no substitution there, but the inserted clean states
+  // serve the pair phase (commit points drain runtime metadata back to the golden
+  // trajectory, so cross-depth twins do occur). A group-local table would serve nobody
+  // at a non-terminal depth, so exhaust mode fingerprints the terminal phase only.
   SharedDedup shared_dedup;
-  auto shared_lookup = [&shared_dedup](const StateKey& key) {
-    std::lock_guard<std::mutex> lock(shared_dedup.mu);
-    return shared_dedup.table.Lookup(key);
-  };
-  auto shared_insert = [&shared_dedup](const StateKey& key) {
-    std::lock_guard<std::mutex> lock(shared_dedup.mu);
-    shared_dedup.table.Insert(key);
-  };
-  const bool d1_terminal = !want_depth2;
-  // Standard mode fingerprints depth-1 captures even at depth 2: no substitution
-  // there, but the inserted clean states serve the pair phase (commit points drain
-  // runtime metadata back to the golden trajectory, so cross-depth twins do occur).
-  const bool hash_d1 = prune && cfg.use_snapshot && (!exhaust || d1_terminal);
-
-  // Hot-path diagnostics, summed across workers into the registry. Plain integer
-  // sums are independent of scheduling order, so these land identical for any jobs
-  // value (they live in the strippable timing block regardless). Folding the
-  // worker's metric shard per chunk keeps a live registry reader current.
-  auto drain_hot_path = [&](TrialStack& stack) {
-    const TrialStack::HotPathDelta d = stack.TakeHotPathDelta();
-    reg.Add(em.pages_copied, d.pages_copied);
-    reg.Add(em.pool_hits, d.pool_hits);
-    stack.FoldMetrics();
-  };
-
-  struct Slot {
-    bool completed = false;
-    bool resumed = false;  // executed as a trunk-captured resumption
-    std::vector<Violation> violations;
-    std::vector<uint64_t> candidates;  // this trial's own trace (depth-2 seeds)
-    GapClasses classes;  // equivalence classes over that trace (pair-phase POR)
-  };
-  std::vector<Slot> slots(d1.size());
-  auto record_d1 = [&](TrialOutput& t, size_t i) {
-    slots[i].completed = t.facts.completed;
-    slots[i].violations = std::move(t.violations);
-    if (want_depth2 && t.facts.completed) {
-      // Only instants after the first failure can seed a pair; extracting just the
-      // tail skips re-sorting the shared golden prefix for every depth-1 trial.
-      slots[i].candidates = CandidateInstants(t.events, t.run.on_us, d1[i] + 1);
-      if (prune) {
-        slots[i].classes.Build(t.events, d1[i] + 1);
-      }
-    }
-  };
-  enumerate_end();
-  // Fixed chunk size (kD1Chunk above): determinism across jobs values requires the
-  // chunk boundaries — and therefore which trunk serves which trial — to be pure
-  // index arithmetic.
-  if (cfg.use_snapshot) {
-    // Depth-1 trials share their prefixes with each other too: all of them replay the
-    // golden timeline up to their failure instant. Each chunk of consecutive instants
-    // runs one unfailed trunk that snapshots at every class representative; each
-    // representative resumes from its capture and pays only its own post-failure
-    // tail, while POR members inherit their representative's verdicts outright.
-    const size_t n_chunks = (d1.size() + kD1Chunk - 1) / kD1Chunk;
+  auto run_phase = [&](const std::vector<Group>& groups, const PhasePlan& plan) {
+    const bool hash_captures = prune && (plan.terminal || !exhaust);
     platform::ParallelForWithState(
-        cfg.jobs, n_chunks,
+        cfg.jobs, groups.size(),
         [&] {
           auto stack = std::make_unique<TrialStack>(cfg, &em);
-          stack->set_hash_captures(hash_d1);
+          stack->set_hash_captures(hash_captures);
           return stack;
         },
-        [&](std::unique_ptr<TrialStack>& stack, size_t ci) {
-          const size_t lo = ci * kD1Chunk;
-          const size_t hi = std::min(d1.size(), lo + kD1Chunk);
-          std::vector<uint64_t> capture_at;
-          capture_at.reserve(hi - lo);
-          for (size_t i = lo; i < hi; ++i) {
-            if (d1_rep[i] == i) {
-              capture_at.push_back(d1[i]);
-            }
-          }
-          std::vector<TrialStack::Capture>& caps = stack->caps_scratch();
-          // A trunk plus one resume costs more than one full replay, so singleton
-          // chunks replay directly.
-          const size_t taken =
-              capture_at.size() >= 2 ? stack->RunTrunk(false, 0, capture_at, &caps) : 0;
-          DedupTable chunk_table;  // exhaust mode: chunk-local, deterministic counts
-          uint64_t pruned = 0;
-          uint64_t deduped = 0;
-          size_t k = 0;  // capture cursor over the representatives
-          for (size_t i = lo; i < hi; ++i) {
-            if (d1_rep[i] != i) {
-              // POR member: its representative (earlier in this same chunk) already
-              // established the verdicts; any violation it would re-report is the
-              // keep-first duplicate the collector drops anyway.
-              slots[i].completed = slots[d1_rep[i]].completed;
-              ++pruned;
-              continue;
-            }
-            StateKey* key = k < taken && caps[k].key.valid ? &caps[k].key : nullptr;
-            bool substituted = false;
-            if (d1_terminal && key != nullptr &&
-                (exhaust ? chunk_table.Lookup(*key) : shared_lookup(*key))) {
-              // A verified byte-identical state already ran clean to completion.
-              slots[i].completed = true;
-              caps[k].dev.reset();  // hand the snapshot straight back to the pool
-              ++deduped;
-              substituted = true;
-            }
-            if (!substituted) {
-              TrialOutput t = k < taken
-                                  ? stack->ResumeFromCapture(caps[k], {d1[i]}, golden)
-                                  : stack->RunFull({d1[i]}, &golden, nullptr);
-              slots[i].resumed = k < taken;
-              const bool clean = t.facts.completed && t.violations.empty();
-              record_d1(t, i);
-              if (key != nullptr && clean) {
-                exhaust ? chunk_table.Insert(*key) : shared_insert(*key);
-              }
-              stack->RecycleEvents(std::move(t.events));
-            }
-            ++k;
-          }
-          reg.Add(em.trials_pruned, pruned + deduped);
-          reg.Add(em.dedup_hits, deduped);
-          drain_hot_path(*stack);
+        [&](std::unique_ptr<TrialStack>& stack, size_t gi) {
+          RunGroup(*stack, groups[gi], plan, golden, em);
         });
-  } else {
-    std::vector<size_t> reps;
-    reps.reserve(d1.size());
-    for (size_t i = 0; i < d1.size(); ++i) {
-      if (d1_rep[i] == i) {
-        reps.push_back(i);
-      }
-    }
-    platform::ParallelFor(cfg.jobs, reps.size(), [&](size_t j) {
-      const size_t i = reps[j];
-      TrialOutput t = RunTrial(cfg, {d1[i]}, &golden, nullptr);
-      record_d1(t, i);
-    });
-    for (size_t i = 0; i < d1.size(); ++i) {
-      if (d1_rep[i] != i) {
-        slots[i].completed = slots[d1_rep[i]].completed;
-        reg.Add(em.trials_pruned, 1);
-      }
-    }
-  }
-
+  };
   std::vector<Violation> collected;
-  for (Slot& s : slots) {
-    res.schedules += 1;
-    res.completed += s.completed ? 1 : 0;
-    for (Violation& v : s.violations) {
-      collected.push_back(std::move(v));
-    }
-  }
-  for (size_t lo = 0; lo < slots.size(); lo += kD1Chunk) {
-    const size_t hi = std::min(slots.size(), lo + kD1Chunk);
-    uint64_t saved = 0;
-    uint64_t deepest = 0;
-    uint32_t resumed = 0;
-    for (size_t i = lo; i < hi; ++i) {
-      if (slots[i].resumed) {
-        ++resumed;
-        saved += d1[i];
-        deepest = d1[i];  // instants ascend, so the last resumed one is the deepest
+  auto collect = [&](std::vector<Slot>& slots) {
+    for (Slot& s : slots) {
+      res.schedules += 1;
+      res.completed += s.completed ? 1 : 0;
+      for (Violation& v : s.violations) {
+        collected.push_back(std::move(v));
       }
     }
-    if (resumed > 0) {
-      reg.Add(em.snapshot_resumes, resumed);
-      // Each resumed trial skipped its own [0, d1[i]) prefix; the chunk paid for the
-      // trunk's single [0, deepest] execution instead.
-      reg.Add(em.prefix_us_saved, saved - deepest);
-    }
+  };
+
+  // Depth-1 trials share their prefixes with each other too: all of them replay the
+  // golden timeline up to their failure instant. Consecutive instants form chunks of a
+  // fixed size, so the chunk boundaries — and therefore which trunk serves which
+  // trial — are pure index arithmetic, independent of the jobs value.
+  constexpr size_t kD1Chunk = 32;
+  std::vector<Group> d1_groups;
+  uint64_t d1_class_count = 0;
+  for (size_t lo = 0; lo < d1.size(); lo += kD1Chunk) {
+    Group grp;
+    grp.instants.assign(d1.begin() + lo, d1.begin() + std::min(d1.size(), lo + kD1Chunk));
+    grp.rep_of = CollapseRuns(grp.instants, golden_classes, d1_collapse);
+    grp.slot_base = lo;
+    d1_class_count += CountRepresentatives(grp.rep_of);
+    d1_groups.push_back(std::move(grp));
   }
+  // Each executed depth-1 trial seeds the pair phase from its own trace. Only instants
+  // after the first failure can seed a pair; extracting just the tail skips re-sorting
+  // the shared golden prefix for every trial.
+  std::vector<std::vector<uint64_t>> t2_lists(d1.size());
+  std::vector<GapClasses> t2_classes(d1.size());  // pair-phase POR over each trace
+  std::vector<Slot> slots(d1.size());
+  enumerate_end();
+  run_phase(d1_groups, {.trunk = cfg.use_snapshot,
+                        .terminal = !want_depth2,
+                        .shared = exhaust ? nullptr : &shared_dedup,
+                        .slots = &slots,
+                        .sink = [&](const TrialOutput& t, size_t i) {
+                          if (want_depth2 && t.facts.completed) {
+                            t2_lists[i] = CandidateInstants(t.events, t.run.on_us, d1[i] + 1);
+                            if (prune) {
+                              t2_classes[i].Build(t.events, d1[i] + 1);
+                            }
+                          }
+                        }});
+  collect(slots);
 
   // Phase 2: depth-2 pairs. The second failure is placed at the instants the depth-1
   // trial actually visited *after* its first failure — adaptive enumeration: the
@@ -830,21 +848,9 @@ ExploreResult Explore(const ExploreConfig& cfg) {
   uint64_t pair_total_selected = 0;
   if (want_depth2) {
     enumerate_begin();
-    struct PairGroup {
-      uint64_t t1 = 0;
-      std::vector<uint64_t> t2s;
-      size_t slot_base = 0;  // first index in the flat result-slot array
-      // POR collapse over t2s (CollapseRuns against the owner's trace classes):
-      // rep_of[k] == k marks a representative; members point at an earlier k. Groups
-      // are self-contained work items, so no chunk-boundary restart is needed.
-      std::vector<size_t> rep_of;
-    };
     std::vector<size_t> owners;  // depth-1 trials with at least one pair to offer
-    std::vector<std::vector<uint64_t>> t2_lists(d1.size());
     size_t total_pairs = 0;
     for (size_t i = 0; i < d1.size(); ++i) {
-      // record_d1 extracted candidates past d1[i] only, so the list is the pair set.
-      t2_lists[i] = std::move(slots[i].candidates);
       if (!t2_lists[i].empty()) {
         owners.push_back(i);
         total_pairs += t2_lists[i].size();
@@ -852,14 +858,23 @@ ExploreResult Explore(const ExploreConfig& cfg) {
     }
 
     const uint32_t pair_budget = budget > res.schedules ? budget - res.schedules : 0;
-    std::vector<PairGroup> groups;
+    std::vector<Group> groups;
+    auto add_group = [&](size_t i, std::vector<uint64_t> t2s) {
+      Group grp;
+      grp.has_t1 = true;
+      grp.t1 = d1[i];
+      // Collapse AFTER any budget subsample: the selected instants (and therefore the
+      // serialized slot layout) are identical with pruning off.
+      grp.rep_of = CollapseRuns(t2s, t2_classes[i], prune);
+      grp.instants = std::move(t2s);
+      groups.push_back(std::move(grp));
+    };
     if (exhaust || total_pairs <= pair_budget) {
       // Exhaust mode lands here by construction: every owner contributes its full
       // pair set (collapsed depth-1 members contributed no candidates — their pair
       // subtrees are certified as covered by their representative's).
       for (size_t i : owners) {
-        groups.push_back({d1[i], t2_lists[i], 0,
-                          CollapseRuns(t2_lists[i], slots[i].classes, prune)});
+        add_group(i, std::move(t2_lists[i]));
       }
     } else if (pair_budget > 0) {
       // Aim for groups of ~kGroupTarget suffixes: large enough to amortise the shared
@@ -890,158 +905,26 @@ ExploreResult Explore(const ExploreConfig& cfg) {
         const size_t i = picked[j];
         const size_t quota =
             pair_budget / picked.size() + (j < pair_budget % picked.size() ? 1 : 0);
-        std::vector<uint64_t> t2s =
-            t2_lists[i].size() > quota ? TimeSubset(t2_lists[i], quota) : t2_lists[i];
-        // Collapse AFTER the budget subsample: the selected instants (and therefore
-        // the serialized slot layout) are identical with pruning off.
-        std::vector<size_t> rep_of = CollapseRuns(t2s, slots[i].classes, prune);
-        groups.push_back({d1[i], std::move(t2s), 0, std::move(rep_of)});
+        add_group(i, t2_lists[i].size() > quota ? TimeSubset(t2_lists[i], quota)
+                                                : std::move(t2_lists[i]));
       }
     }
     size_t selected = 0;
-    for (PairGroup& grp : groups) {
+    for (Group& grp : groups) {
       grp.slot_base = selected;
-      selected += grp.t2s.size();
-      for (size_t k = 0; k < grp.rep_of.size(); ++k) {
-        pair_class_count += grp.rep_of[k] == k ? 1 : 0;
-      }
+      selected += grp.instants.size();
+      pair_class_count += CountRepresentatives(grp.rep_of);
     }
     pair_total_selected = selected;
     res.schedules_skipped += static_cast<uint32_t>(total_pairs - selected);
 
-    struct PairSlot {
-      bool completed = false;
-      bool resumed = false;  // executed as a snapshot-resumed suffix
-      std::vector<Violation> violations;
-    };
-    std::vector<PairSlot> slots2(selected);
+    std::vector<Slot> pair_slots(selected);
     enumerate_end();
-
-    if (cfg.use_snapshot) {
-      // The group (not the pair) is the parallel work item: each group runs one trunk
-      // (fail at t1, reboot through, then capture at every representative t2 without
-      // failing) and executes every representative as a resumption of its capture,
-      // paying only the post-t2 tail; POR members inherit their representative's
-      // verdicts without executing. The captures never cross workers, and slot_base
-      // indexing keeps the merge order (and therefore the JSON) independent of jobs.
-      platform::ParallelForWithState(
-          cfg.jobs, groups.size(),
-          [&] {
-            auto stack = std::make_unique<TrialStack>(cfg, &em);
-            stack->set_hash_captures(prune);
-            return stack;
-          },
-          [&](std::unique_ptr<TrialStack>& stack, size_t gi) {
-            const PairGroup& grp = groups[gi];
-            std::vector<uint64_t> capture_at;
-            capture_at.reserve(grp.t2s.size());
-            for (size_t k = 0; k < grp.t2s.size(); ++k) {
-              if (grp.rep_of[k] == k) {
-                capture_at.push_back(grp.t2s[k]);
-              }
-            }
-            // A trunk plus one resume costs more than one full replay, so singleton
-            // groups replay directly.
-            std::vector<TrialStack::Capture>& caps = stack->caps_scratch();
-            const size_t taken =
-                capture_at.size() >= 2 ? stack->RunTrunk(true, grp.t1, capture_at, &caps)
-                                       : 0;
-            DedupTable group_table;  // exhaust mode: group-local, deterministic counts
-            uint64_t pruned = 0;
-            uint64_t deduped = 0;
-            size_t kc = 0;  // capture cursor over the representatives
-            for (size_t k = 0; k < grp.t2s.size(); ++k) {
-              PairSlot& slot = slots2[grp.slot_base + k];
-              if (grp.rep_of[k] != k) {
-                slot.completed = slots2[grp.slot_base + grp.rep_of[k]].completed;
-                ++pruned;
-                continue;
-              }
-              StateKey* key = kc < taken && caps[kc].key.valid ? &caps[kc].key : nullptr;
-              bool substituted = false;
-              if (key != nullptr &&
-                  (exhaust ? group_table.Lookup(*key) : shared_lookup(*key))) {
-                slot.completed = true;
-                caps[kc].dev.reset();
-                ++deduped;
-                substituted = true;
-              }
-              if (!substituted) {
-                TrialOutput t =
-                    kc < taken
-                        ? stack->ResumeFromCapture(caps[kc], {grp.t1, grp.t2s[k]}, golden)
-                        : stack->RunFull({grp.t1, grp.t2s[k]}, &golden, nullptr);
-                slot.completed = t.facts.completed;
-                slot.resumed = kc < taken;
-                slot.violations = std::move(t.violations);
-                if (key != nullptr && slot.completed && slot.violations.empty()) {
-                  exhaust ? group_table.Insert(*key) : shared_insert(*key);
-                }
-                stack->RecycleEvents(std::move(t.events));
-              }
-              ++kc;
-            }
-            reg.Add(em.trials_pruned, pruned + deduped);
-            reg.Add(em.dedup_hits, deduped);
-            drain_hot_path(*stack);
-          });
-
-      for (const PairGroup& grp : groups) {
-        uint64_t saved = 0;
-        uint64_t deepest = 0;
-        uint32_t resumed = 0;
-        for (size_t k = 0; k < grp.t2s.size(); ++k) {
-          if (slots2[grp.slot_base + k].resumed) {
-            ++resumed;
-            saved += grp.t2s[k];
-            deepest = grp.t2s[k];  // t2s ascend
-          }
-        }
-        if (resumed > 0) {
-          reg.Add(em.snapshot_resumes, resumed);
-          // Full replay would execute [0, t2_k] per pair; the group paid for one trunk
-          // reaching the deepest capture instead.
-          reg.Add(em.prefix_us_saved, saved - deepest);
-        }
-      }
-    } else {
-      // Full-replay cross-check path: the same representative structure (POR applies
-      // identically; there are no captures, so no dedup — every representative runs).
-      std::vector<std::pair<uint64_t, uint64_t>> pairs(selected);
-      std::vector<size_t> rep_slots;
-      rep_slots.reserve(selected);
-      for (const PairGroup& grp : groups) {
-        for (size_t k = 0; k < grp.t2s.size(); ++k) {
-          pairs[grp.slot_base + k] = {grp.t1, grp.t2s[k]};
-          if (grp.rep_of[k] == k) {
-            rep_slots.push_back(grp.slot_base + k);
-          }
-        }
-      }
-      platform::ParallelFor(cfg.jobs, rep_slots.size(), [&](size_t j) {
-        const size_t i = rep_slots[j];
-        TrialOutput t = RunTrial(cfg, {pairs[i].first, pairs[i].second}, &golden, nullptr);
-        slots2[i].completed = t.facts.completed;
-        slots2[i].violations = std::move(t.violations);
-      });
-      for (const PairGroup& grp : groups) {
-        for (size_t k = 0; k < grp.t2s.size(); ++k) {
-          if (grp.rep_of[k] != k) {
-            slots2[grp.slot_base + k].completed =
-                slots2[grp.slot_base + grp.rep_of[k]].completed;
-            reg.Add(em.trials_pruned, 1);
-          }
-        }
-      }
-    }
-
-    for (PairSlot& s : slots2) {
-      res.schedules += 1;
-      res.completed += s.completed ? 1 : 0;
-      for (Violation& v : s.violations) {
-        collected.push_back(std::move(v));
-      }
-    }
+    run_phase(groups, {.trunk = cfg.use_snapshot,
+                       .terminal = true,
+                       .shared = exhaust ? nullptr : &shared_dedup,
+                       .slots = &pair_slots});
+    collect(pair_slots);
   }
 
   // Deduplicate by (invariant, subject), keeping the first occurrence — depth-1 trials
@@ -1062,7 +945,7 @@ ExploreResult Explore(const ExploreConfig& cfg) {
   res.dedup_hits = reg.Value(em.dedup_hits) - em.base_dedup_hits;
   if (exhaust) {
     // The certificate restates the pruning as deterministic coverage accounting —
-    // every count is a pure function of the spec (chunk/group-local dedup tables,
+    // every count is a pure function of the spec (group-local dedup tables,
     // index-arithmetic POR runs), so it serializes outside the timing block.
     res.has_certificate = true;
     ExploreResult::Certificate& cert = res.certificate;

@@ -47,10 +47,13 @@ struct ExploreConfig {
   bool easeio_regional_privatization = true;
   uint64_t timekeeper_tick_us = 100;
 
-  // Snapshot-at-reboot trial resumption: depth-2 pairs sharing a first failure
-  // instant run the prefix once, snapshot at the post-t1 reboot, and execute each
-  // pair as a resumed suffix. Off = full replay of every schedule (the cross-check
-  // escape hatch; produces identical non-timing results).
+  // Snapshot-at-reboot trial resumption. Schedules are run in groups that differ only
+  // in their last failure instant: a depth-1 chunk of consecutive instants, or the
+  // depth-2 pairs sharing a first instant. Each group runs its shared prefix once as a
+  // trunk, snapshots at every last-failure instant, and executes each schedule as a
+  // resumed suffix. Off = no trunk: every schedule is a full replay on the worker's
+  // reused stack, with no state dedup (the cross-check reference; produces identical
+  // non-timing results).
   bool use_snapshot = true;
 
   // Schedule-space pruning: idempotent-region partial-order reduction (por.h) plus
@@ -113,7 +116,7 @@ struct ExploreResult {
   // byte-identical across jobs counts *and* between snapshot/full-replay modes.
   double wall_seconds = 0;       // wall-clock time of the whole exploration
   double trials_per_sec = 0;     // schedules / wall_seconds
-  uint64_t snapshot_resumes = 0; // depth-2 trials executed as resumed suffixes
+  uint64_t snapshot_resumes = 0; // trials executed as resumed suffixes
   uint64_t prefix_us_saved = 0;  // simulated prefix on-time not re-executed
   uint64_t pages_copied = 0;     // FRAM pages actually copied by SnapshotInto/Restore
   uint64_t pool_hits = 0;        // snapshot buffers served from a worker pool free list

@@ -167,7 +167,8 @@ struct ExplorationOptions {
   uint32_t jobs = 0;    // worker threads; 0 = hardware concurrency
   uint64_t off_us = 700;
   uint64_t max_on_us = 60'000'000;
-  // Snapshot-at-reboot resumption for depth-2 groups (see chk::ExploreConfig).
+  // Snapshot-at-reboot resumption for depth-1 chunks and depth-2 groups (see
+  // chk::ExploreConfig).
   bool use_snapshot = true;
 };
 

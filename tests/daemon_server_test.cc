@@ -403,16 +403,40 @@ TEST(ServerTest, SigtermDrainsWithoutLosingJobs) {
   DaemonFixture daemon("drain", {.workers = 1});
   TestClient client(daemon.socket_path());
 
-  // Three distinct ~100ms jobs through one worker: the first is reliably still
-  // running when the shutdown lands; the rest are still queued.
+  // Three distinct ~100ms jobs through one worker: once the first has left the
+  // queue, the rest are still queued behind it.
   std::vector<std::string> hashes;
+  uint64_t first_id = 0;
   for (int seed = 1; seed <= 3; ++seed) {
     const JsonValue reply = client.SendAndParse(
         R"({"op":"submit","job":{"kind":"sweep","apps":["temp"],"runtimes":["easeio"],"runs":1000,"seed":)" +
         std::to_string(seed * 2000) + "}}");
     ASSERT_TRUE(reply.Find("ok")->AsBool());
     hashes.push_back(reply.Find("hash")->AsString());
+    if (seed == 1) {
+      ASSERT_TRUE(reply.Find("id")->GetUint(&first_id));
+    }
   }
+
+  // Wait until the worker has taken job 1 off the queue. A shutdown that lands before
+  // the worker wakes would legitimately persist all three jobs, leaving nothing for
+  // the drain to finish.
+  std::string first_state = "queued";
+  for (int i = 0; i < 2000 && first_state == "queued"; ++i) {
+    const JsonValue status = client.SendAndParse(R"({"op":"status"})");
+    ASSERT_TRUE(status.Find("ok")->AsBool());
+    for (const JsonValue& job : status.Find("jobs")->Items()) {
+      uint64_t jid = 0;
+      ASSERT_TRUE(job.Find("id")->GetUint(&jid));
+      if (jid == first_id) {
+        first_state = job.Find("state")->AsString();
+      }
+    }
+    if (first_state == "queued") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_NE(first_state, "queued") << "the worker never picked up job 1";
 
   // SIGTERM-style shutdown (flag + wake, exactly what the signal handler does).
   // The in-flight job finishes; the queued remainder is persisted.

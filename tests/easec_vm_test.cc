@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "apps/runtime_factory.h"
 #include "easec/program.h"
 #include "kernel/engine.h"
@@ -41,6 +43,10 @@ struct ExprCase {
   const char* expr;
   int16_t expect;
 };
+
+// Without this gtest prints the raw struct bytes, a string-literal address that
+// changes with every process's address layout, into each test's name.
+void PrintTo(const ExprCase& c, std::ostream* os) { *os << c.expr << " => " << c.expect; }
 
 class ExprEval : public ::testing::TestWithParam<ExprCase> {};
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/registry.h"
@@ -270,50 +271,83 @@ TEST(DeviceReset, ReusedStackMatchesFreshConstruction) {
 
 // --- Snapshot-resumed exploration equals full replay ------------------------------------
 
-void ExpectModeEquivalence(apps::AppKind app, apps::RuntimeKind rt, uint32_t budget,
-                           bool expect_resumes) {
+// The snapshot engine at jobs=4 must serialize the same non-timing bytes as full replay
+// (--no-snapshot) at jobs=4 and as itself at jobs=1. Returns the snapshot result so a
+// caller can also check what it found.
+chk::ExploreResult ExpectModeEquivalence(apps::AppKind app, apps::RuntimeKind rt, int depth,
+                                         uint32_t budget, bool expect_resumes,
+                                         bool regional = true) {
   chk::ExploreConfig cfg;
   cfg.app = app;
   cfg.runtime = rt;
-  cfg.depth = 2;
+  cfg.depth = depth;
   cfg.budget = budget;
-  cfg.jobs = 2;
+  cfg.jobs = 4;
+  cfg.easeio_regional_privatization = regional;
+  chk::ExploreConfig serial = cfg;
+  serial.jobs = 1;
   chk::ExploreConfig full = cfg;
   full.use_snapshot = false;
 
   const chk::ExploreResult snap_result = chk::Explore(cfg);
+  const chk::ExploreResult serial_result = chk::Explore(serial);
   const chk::ExploreResult full_result = chk::Explore(full);
-  EXPECT_EQ(chk::ToJson(snap_result, /*include_timing=*/false),
-            chk::ToJson(full_result, /*include_timing=*/false))
-      << apps::ToString(app) << "/" << apps::ToString(rt);
+  const std::string cell = std::string(apps::ToString(app)) + "/" + apps::ToString(rt) +
+                           " depth " + std::to_string(depth);
+  const std::string snap_json = chk::ToJson(snap_result, /*include_timing=*/false);
+  EXPECT_EQ(snap_json, chk::ToJson(full_result, /*include_timing=*/false))
+      << cell << ": snapshot engine vs full replay";
+  EXPECT_EQ(snap_json, chk::ToJson(serial_result, /*include_timing=*/false))
+      << cell << ": snapshot engine at jobs=4 vs jobs=1";
   if (expect_resumes) {
     EXPECT_GT(snap_result.snapshot_resumes, 0u) << "snapshot fast path never taken";
     EXPECT_GT(snap_result.prefix_us_saved, 0u);
   }
   EXPECT_EQ(full_result.snapshot_resumes, 0u);
   EXPECT_EQ(full_result.prefix_us_saved, 0u);
+  return snap_result;
 }
 
 TEST(SnapshotEngine, ResumedDepth2EqualsFullReplayEaseio) {
-  ExpectModeEquivalence(apps::AppKind::kDma, apps::RuntimeKind::kEaseio, 160,
+  ExpectModeEquivalence(apps::AppKind::kDma, apps::RuntimeKind::kEaseio, 2, 160,
                         /*expect_resumes=*/true);
 }
 
 TEST(SnapshotEngine, ResumedDepth2EqualsFullReplayAlpaca) {
-  ExpectModeEquivalence(apps::AppKind::kDma, apps::RuntimeKind::kAlpaca, 160,
+  ExpectModeEquivalence(apps::AppKind::kDma, apps::RuntimeKind::kAlpaca, 2, 160,
                         /*expect_resumes=*/true);
 }
 
 TEST(SnapshotEngine, ResumedDepth2EqualsFullReplayInk) {
-  ExpectModeEquivalence(apps::AppKind::kDma, apps::RuntimeKind::kInk, 160,
+  ExpectModeEquivalence(apps::AppKind::kDma, apps::RuntimeKind::kInk, 2, 160,
                         /*expect_resumes=*/true);
 }
 
 TEST(SnapshotEngine, ResumedDepth2EqualsFullReplaySamoyedWeather) {
   // Weather is the only app exercising I/O blocks, i.e. Samoyed's undo log and lazily
   // allocated FRAM shadows — the state that rides the RuntimeSnapshot extra payload.
-  ExpectModeEquivalence(apps::AppKind::kWeather, apps::RuntimeKind::kSamoyed, 60,
+  ExpectModeEquivalence(apps::AppKind::kWeather, apps::RuntimeKind::kSamoyed, 2, 60,
                         /*expect_resumes=*/false);
+}
+
+TEST(SnapshotEngine, ResumedDepth1EqualsFullReplay) {
+  // Depth-1 chunks run through the same group runner as pair groups; a depth-1-only
+  // exploration spends its whole budget on them.
+  ExpectModeEquivalence(apps::AppKind::kDma, apps::RuntimeKind::kEaseio, 1, 160,
+                        /*expect_resumes=*/true);
+  ExpectModeEquivalence(apps::AppKind::kWeather, apps::RuntimeKind::kSamoyed, 1, 60,
+                        /*expect_resumes=*/true);
+}
+
+TEST(SnapshotEngine, ViolatingCellEqualsFullReplay) {
+  // The regional-privatization ablation double-increments the DMA job counter, so the
+  // violation path (recording, minimal-schedule de-duplication) is compared too.
+  for (int depth : {1, 2}) {
+    const chk::ExploreResult r =
+        ExpectModeEquivalence(apps::AppKind::kDma, apps::RuntimeKind::kEaseio, depth, 160,
+                              /*expect_resumes=*/true, /*regional=*/false);
+    EXPECT_FALSE(r.violations.empty()) << "the ablation must violate at depth " << depth;
+  }
 }
 
 }  // namespace

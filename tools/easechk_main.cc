@@ -20,8 +20,9 @@
 //   --seed      device/sensor seed (default: 1)
 //   --off-us    dark time after each injected failure (default: 700)
 //   --no-regional   disable EaseIO regional DMA privatization (bug-hunting ablation)
-//   --no-snapshot   full-replay every depth-2 schedule instead of resuming from a
-//                   post-first-failure snapshot (cross-check; slower, same results)
+//   --no-snapshot   full-replay every schedule, depth-1 and depth-2, instead of
+//                   resuming it from a snapshot taken on its group's shared trunk
+//                   (cross-check; slower, same results)
 //   --no-prune      disable schedule-space pruning (state-hash dedup + idempotent-
 //                   region partial-order reduction); cross-check — identical verdicts
 //                   and non-timing JSON, more trials executed
