@@ -153,17 +153,12 @@ bool StateHasher::Fingerprint(const sim::Memory& mem, const kernel::Runtime& rt,
 DedupTable::DedupTable(uint32_t probe_bits)
     : probe_mask_(probe_bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << probe_bits) - 1) {}
 
-const DedupTable::Entry* DedupTable::FindIn(const std::vector<Entry>& bucket,
-                                            const StateKey& key,
-                                            const std::array<uint8_t, 32>& sha) {
-  for (const Entry& e : bucket) {
-    if (e.sha != sha) {
-      ++probe_collisions_;
-      continue;
-    }
-    // Digest match: the full canonical bytes are the ground truth.
-    if (e.canonical == key.canonical) {
-      return &e;
+const std::string* DedupTable::FindIn(const std::vector<std::string>& bucket,
+                                      const StateKey& key) {
+  for (const std::string& canonical : bucket) {
+    // The canonical bytes are the ground truth; no hash decides equality.
+    if (canonical == key.canonical) {
+      return &canonical;
     }
     ++probe_collisions_;
   }
@@ -175,12 +170,7 @@ bool DedupTable::Lookup(const StateKey& key) {
     return false;
   }
   auto it = buckets_.find(BucketOf(key.probe));
-  if (it == buckets_.end()) {
-    return false;
-  }
-  // Bucket collision: now (and only now) pay for the cryptographic digest.
-  const std::array<uint8_t, 32> sha = platform::Sha256Digest(key.canonical);
-  if (FindIn(it->second, key, sha) == nullptr) {
+  if (it == buckets_.end() || FindIn(it->second, key) == nullptr) {
     return false;
   }
   ++hits_;
@@ -191,17 +181,16 @@ void DedupTable::Insert(const StateKey& key) {
   if (!key.valid) {
     return;
   }
-  std::vector<Entry>& bucket = buckets_[BucketOf(key.probe)];
-  const std::array<uint8_t, 32> sha = platform::Sha256Digest(key.canonical);
+  std::vector<std::string>& bucket = buckets_[BucketOf(key.probe)];
   if (!bucket.empty()) {
     const uint64_t collisions_before = probe_collisions_;
-    const bool present = FindIn(bucket, key, sha) != nullptr;
+    const bool present = FindIn(bucket, key) != nullptr;
     probe_collisions_ = collisions_before;  // inserts don't count as lookup traffic
     if (present) {
       return;
     }
   }
-  bucket.push_back({key.canonical, sha});
+  bucket.push_back(key.canonical);
   ++entries_;
 }
 

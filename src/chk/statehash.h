@@ -15,16 +15,16 @@
 // since the last scan, so steady-state fingerprinting touches the few pages a trial
 // actually dirtied, not the whole FRAM image.
 //
-// The dedup table resolves membership in three stages, cheapest first: a 64-bit probe
-// (platform::HashBytes64 over the canonical bytes) selects a bucket; on a bucket
-// collision a SHA-256 of the canonical bytes is compared; on a digest match the full
-// canonical byte strings are memcmp'd — that comparison, not any hash, is what
-// declares two states equal, so a forged 64-bit probe can never forge a verdict.
+// The dedup table resolves membership in two stages: a 64-bit probe
+// (platform::HashBytes64 over the canonical bytes) selects a bucket, and the candidate's
+// canonical bytes are compared with each entry's. That comparison, not any hash, is
+// what declares two canonical strings equal, so a forged probe can never forge a
+// verdict. (The canonical string itself still carries one 64-bit hash per FRAM page;
+// see ROADMAP item 3.)
 
 #ifndef EASEIO_CHK_STATEHASH_H_
 #define EASEIO_CHK_STATEHASH_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -76,7 +76,7 @@ class DedupTable {
  public:
   // probe_bits < 64 truncates the probe used for bucketing — a test hook that forces
   // bucket collisions (probe_bits = 0 puts every state in one bucket) so the
-  // SHA-256 + full-bytes verification path is exercised deterministically.
+  // byte-compare verification path is exercised deterministically.
   explicit DedupTable(uint32_t probe_bits = 64);
 
   // True iff an entry with byte-identical canonical encoding exists (counted as a
@@ -93,19 +93,13 @@ class DedupTable {
   size_t size() const { return entries_; }
 
  private:
-  struct Entry {
-    std::string canonical;
-    std::array<uint8_t, 32> sha;  // SHA-256(canonical), computed at insert
-  };
-
   uint64_t BucketOf(uint64_t probe) const { return probe & probe_mask_; }
-  // Returns the matching entry in `bucket` or nullptr, updating the collision
-  // counter. `sha` is the candidate's digest, computed lazily by the caller.
-  const Entry* FindIn(const std::vector<Entry>& bucket, const StateKey& key,
-                      const std::array<uint8_t, 32>& sha);
+  // Returns the entry in `bucket` whose canonical bytes equal the key's, or nullptr,
+  // counting every entry compared and found different in probe_collisions_.
+  const std::string* FindIn(const std::vector<std::string>& bucket, const StateKey& key);
 
   uint64_t probe_mask_;
-  std::unordered_map<uint64_t, std::vector<Entry>> buckets_;
+  std::unordered_map<uint64_t, std::vector<std::string>> buckets_;
   uint64_t hits_ = 0;
   uint64_t probe_collisions_ = 0;
   size_t entries_ = 0;

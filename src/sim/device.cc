@@ -183,6 +183,42 @@ void Device::StoreWord32(uint32_t addr, uint32_t value) {
 
 void Device::CpuCopy(uint32_t dst, uint32_t src, uint32_t nbytes) {
   const uint32_t words = (nbytes + 1) / 2;
+  const uint32_t span = 2 * words;  // the word loop moves whole words
+  // Bulk path. Valid ranges resolve every word of each side to one arena, so each
+  // load and each store costs the same; disjoint ranges make read-all-then-write-all
+  // equal to the interleaved loop. Below the fast-spend bound, every one of the loop's
+  // 2 * words spends would take Spend's fast path, so its ledger is replayed here in
+  // the same order, add by add, and needs no failure or capture check.
+  if (mem_.RangeValid(src, span) && mem_.RangeValid(dst, span) &&
+      (src + span <= dst || dst + span <= src)) {
+    const AccessCost load = WordCost(mem_.Classify(src), /*store=*/false);
+    const AccessCost store = WordCost(mem_.Classify(dst), /*store=*/true);
+    const uint64_t total = static_cast<uint64_t>(words) * (load.cycles + store.cycles);
+    if (fast_spend_before_us_ != 0 && clock_.on_us() + total < fast_spend_before_us_) {
+      const double load_us = static_cast<double>(load.cycles);
+      const double store_us = static_cast<double>(store.cycles);
+      const double load_j = OneStepDrawJ(load.cycles, load.energy_j);
+      const double store_j = OneStepDrawJ(store.cycles, store.energy_j);
+      const int p = static_cast<int>(phase_);
+      double us = stats_.attempt_us[p];
+      double j = stats_.attempt_j[p];
+      double meter_j = meter_.PhaseJ(phase_);
+      for (uint32_t i = 0; i < words; ++i) {
+        us += load_us;
+        j += load_j;
+        meter_j += load_j;
+        us += store_us;
+        j += store_j;
+        meter_j += store_j;
+      }
+      stats_.attempt_us[p] = us;
+      stats_.attempt_j[p] = j;
+      meter_.SetPhaseJ(phase_, meter_j);
+      clock_.AdvanceOn(total);
+      mem_.Copy(dst, src, span);
+      return;
+    }
+  }
   for (uint32_t i = 0; i < words; ++i) {
     const uint16_t v = LoadWord(src + 2 * i);
     StoreWord(dst + 2 * i, v);

@@ -138,8 +138,7 @@ class Device {
       return;
     }
     if (fast_spend_before_us_ != 0 && clock_.on_us() + cycles < fast_spend_before_us_) {
-      const double draw_j =
-          (energy_j / static_cast<double>(cycles)) * static_cast<double>(cycles);
+      const double draw_j = OneStepDrawJ(cycles, energy_j);
       clock_.AdvanceOn(cycles);
       stats_.ChargeAttempt(phase_, static_cast<double>(cycles), draw_j);
       meter_.Add(phase_, draw_j);
@@ -160,25 +159,15 @@ class Device {
     // speculative resolve had no side effect.
     MemKind kind;
     const uint8_t* p = mem_.ResolveWord(addr, &kind);
-    if (kind == MemKind::kSram) {
-      Spend(kSramAccessCycles,
-            kSramAccessEnergyJ + static_cast<double>(kSramAccessCycles) * kCpuEnergyPerCycleJ);
-    } else {
-      Spend(kFramReadCycles,
-            kFramReadEnergyJ + static_cast<double>(kFramReadCycles) * kCpuEnergyPerCycleJ);
-    }
+    const AccessCost cost = WordCost(kind, /*store=*/false);
+    Spend(cost.cycles, cost.energy_j);
     return static_cast<uint16_t>(p[0] | (p[1] << 8));
   }
   void StoreWord(uint32_t addr, uint16_t value) {
     MemKind kind;
     uint8_t* p = mem_.ResolveWordMut(addr, &kind);
-    if (kind == MemKind::kSram) {
-      Spend(kSramAccessCycles,
-            kSramAccessEnergyJ + static_cast<double>(kSramAccessCycles) * kCpuEnergyPerCycleJ);
-    } else {
-      Spend(kFramWriteCycles,
-            kFramWriteEnergyJ + static_cast<double>(kFramWriteCycles) * kCpuEnergyPerCycleJ);
-    }
+    const AccessCost cost = WordCost(kind, /*store=*/true);
+    Spend(cost.cycles, cost.energy_j);
     // The write (and its dirty stamp) lands only if Spend didn't fail the device, and
     // the stamp lands after the bytes so a mid-Spend capture can't mark it synced.
     p[0] = static_cast<uint8_t>(value & 0xFF);
@@ -190,7 +179,12 @@ class Device {
   uint32_t LoadWord32(uint32_t addr);
   void StoreWord32(uint32_t addr, uint32_t value);
 
-  // Charged bulk copy performed by the CPU (word loop). DMA copies go through dma().
+  // Charged copy performed by the CPU: charges exactly what a LoadWord/StoreWord loop
+  // over the (nbytes + 1) / 2 words would, and lands the same bytes. When both ranges
+  // are valid and disjoint and the whole copy ends before fast_spend_before_us_, it
+  // replays the per-word ledger in registers and moves the bytes with one
+  // Memory::Copy; otherwise it runs that word loop, so a failure or capture instant
+  // inside the copy tears it at the exact word. DMA copies go through dma().
   void CpuCopy(uint32_t dst, uint32_t src, uint32_t nbytes);
 
   // --- Phase attribution ----------------------------------------------------------------
@@ -387,6 +381,31 @@ class Device {
   // Stepping spend loop: capture-plan clamping, capacitor draw/harvest, per-step
   // failure checks. Everything Spend's inline fast path proves it can skip.
   void SpendSlow(uint64_t cycles, double energy_j);
+
+  // The energy a spend charges when the slow path would take it in one step: the
+  // identical expression SpendSlow evaluates for step == cycles.
+  static double OneStepDrawJ(uint64_t cycles, double energy_j) {
+    return (energy_j / static_cast<double>(cycles)) * static_cast<double>(cycles);
+  }
+
+  // Cycles and energy of one charged 16-bit access — the single cost table
+  // LoadWord, StoreWord and CpuCopy charge from.
+  struct AccessCost {
+    uint64_t cycles;
+    double energy_j;
+  };
+  static constexpr AccessCost WordCost(MemKind kind, bool store) {
+    if (kind == MemKind::kSram) {
+      return {kSramAccessCycles,
+              kSramAccessEnergyJ + static_cast<double>(kSramAccessCycles) * kCpuEnergyPerCycleJ};
+    }
+    if (store) {
+      return {kFramWriteCycles,
+              kFramWriteEnergyJ + static_cast<double>(kFramWriteCycles) * kCpuEnergyPerCycleJ};
+    }
+    return {kFramReadCycles,
+            kFramReadEnergyJ + static_cast<double>(kFramReadCycles) * kCpuEnergyPerCycleJ};
+  }
 
   // Recomputes deadline_on_us_ from the scheduler. Called wherever the scheduler is
   // (re-)armed: Begin and the end of Reboot.

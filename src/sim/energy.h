@@ -98,6 +98,7 @@ class EnergyMeter {
 
   double TotalJ() const { return per_phase_[0] + per_phase_[1] + per_phase_[2]; }
   double PhaseJ(Phase phase) const { return per_phase_[static_cast<int>(phase)]; }
+  void SetPhaseJ(Phase phase, double j) { per_phase_[static_cast<int>(phase)] = j; }
 
   void Reset() { per_phase_[0] = per_phase_[1] = per_phase_[2] = 0.0; }
 

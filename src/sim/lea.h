@@ -8,6 +8,11 @@
 //   * an invocation is a peripheral operation: charged first, effects applied only on
 //     completion.
 // Arithmetic is int16 fixed point with Q15 coefficients, matching LEA firmware style.
+// Each output's products are summed mod 2^32, then read as int32, shifted right by 15
+// and saturated to int16; the wrap makes the sum independent of the order in which a
+// kernel adds its products. Fir and Conv2dValid run tap-major over blocks of outputs
+// and read a block's inputs before writing its outputs, so their output operand must
+// not overlap an input (checked).
 
 #ifndef EASEIO_SIM_LEA_H_
 #define EASEIO_SIM_LEA_H_

@@ -170,22 +170,26 @@ TEST(DedupTable, LookupVerifiesAndCounts) {
 
 TEST(DedupTable, ProbeCollisionNeverForgesEquality) {
   // The seeded pair: identical 64-bit probes, different canonical bytes. With
-  // probe_bits = 0 every state shares one bucket, so this exercises the full
-  // SHA-256 + byte-compare verification chain deterministically.
+  // probe_bits = 0 every state shares one bucket, so this exercises the
+  // canonical byte-compare verification deterministically.
   chk::DedupTable table(/*probe_bits=*/0);
   const chk::StateKey k1 = MakeKey(0xDEADBEEF, "state-one");
   const chk::StateKey k2 = MakeKey(0xDEADBEEF, "state-two");
 
   table.Insert(k1);
   EXPECT_FALSE(table.Lookup(k2)) << "colliding probe must not alias different bytes";
-  EXPECT_GT(table.probe_collisions(), 0u);
+  // Exact counts: each lookup counts one collision per bucket entry it compares and
+  // rejects; inserts count none.
+  EXPECT_EQ(table.probe_collisions(), 1u);
   table.Insert(k2);
   EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.probe_collisions(), 1u);
 
-  // Both remain independently retrievable.
+  // Both remain independently retrievable; k2's lookup first rejects k1.
   EXPECT_TRUE(table.Lookup(k1));
   EXPECT_TRUE(table.Lookup(k2));
   EXPECT_EQ(table.hits(), 2u);
+  EXPECT_EQ(table.probe_collisions(), 2u);
 }
 
 TEST(DedupTable, InvalidKeysOptOut) {
